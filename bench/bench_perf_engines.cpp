@@ -4,8 +4,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
+#include "common/jsonfmt.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
@@ -19,6 +21,7 @@
 #include "gps/casestudy.hpp"
 #include "gps/published.hpp"
 #include "kits/fleet.hpp"
+#include "kits/kit_json.hpp"
 #include "kits/registry.hpp"
 #include "moe/montecarlo.hpp"
 #include "rf/analysis.hpp"
@@ -545,6 +548,53 @@ void BM_ServeRequestColdCompile(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ServeRequestColdCompile)->UseRealTime();
+
+// ---- serve request path, layer by layer ----
+
+// One %.17g number, the unit of every response, kit document and golden.
+// Cycles through 64 values of mixed magnitude so no single digit string
+// dominates.
+void BM_JsonNumber(benchmark::State& state) {
+  std::vector<double> values;
+  Pcg32 rng(11);
+  for (int i = 0; i < 64; ++i) {
+    values.push_back(rng.uniform(0.0, 1.0) * std::pow(10.0, (i % 13) - 6));
+  }
+  std::string out;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    out.clear();
+    ipass::append_json_number(out, values[i++ & 63]);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_JsonNumber);
+
+// The canonical kit document an inline-kit request's cache key embeds.
+void BM_KitJsonCanonical(benchmark::State& state) {
+  const kits::ProcessKit kit = kits::builtin_kit_registry().at(kits::kMcmDSiIpKit);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kits::kit_json(kit));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KitJsonCanonical);
+
+// A cached request carrying a ~3.5 kB inline kit: admission parse, envelope
+// and kit validation, canonical cache key, cache hit, evaluate, serialize.
+void BM_ServeRequestInlineKit(benchmark::State& state) {
+  serve::AssessmentService service;
+  const std::string request =
+      R"({"id": "bench", "kit": )" +
+      kits::kit_json(kits::builtin_kit_registry().at(kits::kMcmDSiIpKit)) + "}";
+  benchmark::DoNotOptimize(service.handle(request));  // warm the cache
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service.handle(request));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServeRequestInlineKit)->UseRealTime();
 
 }  // namespace
 

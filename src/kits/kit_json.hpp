@@ -19,6 +19,10 @@ namespace ipass::kits {
 // One kit as a JSON object.
 std::string kit_json(const ProcessKit& kit);
 
+// The same document appended to `out` (the serve cache key embeds it
+// without an intermediate copy).
+void append_kit_json(std::string& out, const ProcessKit& kit);
+
 // A whole registry: {"kits": [ ... ]} in insertion order.
 std::string registry_json(const KitRegistry& registry);
 

@@ -4,6 +4,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/json.hpp"
 #include "common/metrics.hpp"
 #include "common/strfmt.hpp"
 
@@ -187,6 +188,40 @@ std::string ResilientClient::call(const std::string& request,
            "failure: %s)",
            policy_.max_attempts, last_failure_.c_str()),
       ErrorCode::Overload);
+}
+
+ProbeResult probe_daemon(const std::string& host, std::uint16_t port,
+                         const std::string& probe, unsigned attempts,
+                         std::chrono::milliseconds backoff) {
+  ProbeResult result;
+  for (unsigned attempt = 0; attempt < attempts; ++attempt) {
+    if (attempt > 0) std::this_thread::sleep_for(backoff);
+    try {
+      SocketClient client(host, port);
+      result.response = client.roundtrip(probe);
+    } catch (const std::exception&) {
+      continue;
+    }
+    result.answered = true;
+    result.ok = !is_error_response(result.response);
+    break;
+  }
+  return result;
+}
+
+bool is_error_response(const std::string& response) {
+  try {
+    const JsonValue root = parse_json(response, "probe response");
+    if (root.type != JsonValue::Type::Object) return true;
+    for (const auto& [key, value] : root.object) {
+      if (key == "status") {
+        return value.type != JsonValue::Type::String || value.string == "error";
+      }
+    }
+    return false;
+  } catch (const std::exception&) {
+    return true;
+  }
 }
 
 }  // namespace ipass::serve

@@ -102,4 +102,25 @@ class ResilientClient {
   std::string last_failure_;
 };
 
+// Outcome of a readiness or stats probe (ipass_replay --health/--stats).
+struct ProbeResult {
+  bool answered = false;  // a reply frame arrived
+  bool ok = false;        // ...and it was not an error response
+  std::string response;   // the reply, when answered
+};
+
+// Sends `probe` (e.g. {"kind": "health"}) to host:port, retrying connection
+// and transport failures up to `attempts` times with `backoff` between
+// them: the daemon may still be recovering its journal or binding the port.
+// The first reply ends the probe.  An error response, such as the
+// "too many connections" refusal of a saturated daemon, is an answer but
+// not a ready one, so `ok` is false.
+ProbeResult probe_daemon(const std::string& host, std::uint16_t port,
+                         const std::string& probe, unsigned attempts,
+                         std::chrono::milliseconds backoff);
+
+// Whether `response` is a structured error response ("status": "error").
+// A reply that is not a JSON object counts as an error too.
+bool is_error_response(const std::string& response);
+
 }  // namespace ipass::serve

@@ -17,26 +17,26 @@ constexpr const char* kContext = "serve request";
 }
 }  // namespace
 
-ProbeKind probe_kind(const std::string& text) {
-  // Fast reject: a probe must literally contain the "kind" key.  (Inline-kit
-  // requests can contain the substring inside the kit document; they survive
-  // the full parse below as non-probes.)
-  if (text.find("\"kind\"") == std::string::npos) return ProbeKind::None;
-  try {
-    const JsonValue root = parse_json(text, "probe");
-    if (root.type != JsonValue::Type::Object) return ProbeKind::None;
-    for (const auto& [key, value] : root.object) {
-      if (key == "kind") {
-        if (value.type != JsonValue::Type::String) return ProbeKind::None;
-        if (value.string == "health") return ProbeKind::Health;
-        if (value.string == "stats") return ProbeKind::Stats;
-        return ProbeKind::None;
-      }
+ProbeKind probe_kind(const JsonValue& root) {
+  if (root.type != JsonValue::Type::Object) return ProbeKind::None;
+  for (const auto& [key, value] : root.object) {
+    if (key == "kind") {
+      if (value.type != JsonValue::Type::String) return ProbeKind::None;
+      if (value.string == "health") return ProbeKind::Health;
+      if (value.string == "stats") return ProbeKind::Stats;
+      return ProbeKind::None;
     }
-  } catch (const std::exception&) {
-    // Not even JSON — let the normal request path produce the parse error.
   }
   return ProbeKind::None;
+}
+
+ProbeKind probe_kind(const std::string& text) {
+  try {
+    return probe_kind(parse_json(text, "probe"));
+  } catch (const std::exception&) {
+    // Not even JSON — let the normal request path produce the parse error.
+    return ProbeKind::None;
+  }
 }
 
 bool is_health_request(const std::string& text) {
@@ -48,7 +48,10 @@ bool is_stats_request(const std::string& text) {
 }
 
 AssessmentRequest parse_request(const std::string& text) {
-  const JsonValue root = parse_json(text, kContext);
+  return parse_request(parse_json(text, kContext));
+}
+
+AssessmentRequest parse_request(const JsonValue& root) {
   ObjectReader r(root, "request", kContext);
   AssessmentRequest req;
   const std::string kind = r.str_or("kind", "assess");
@@ -125,7 +128,8 @@ AssessmentRequest parse_request(const std::string& text) {
 
 std::string study_cache_key(const AssessmentRequest& request) {
   std::string key;
-  key.reserve(128);
+  // Room for the envelope fields plus a registry-sized inline kit document.
+  key.reserve(request.has_inline_kit ? 4096 : 128);
   key += "bom=";
   key += request.bom;
   key += ";reference=";
@@ -136,7 +140,7 @@ std::string study_cache_key(const AssessmentRequest& request) {
   if (request.has_inline_kit) {
     // Canonical %.17g serialization: two inline documents that parse to the
     // same kit (whitespace, field order) share one compile artifact.
-    key += kits::kit_json(request.inline_kit);
+    kits::append_kit_json(key, request.inline_kit);
   } else {
     key += "name:";
     key += request.kit_name;

@@ -39,9 +39,14 @@ inline constexpr const char* kServeVersion = kWireVersion;
 // scrape never perturbs the deterministic request stream.
 enum class ProbeKind { None, Health, Stats };
 
-// Classify `text` as a probe: {"kind": "health"} or {"kind": "stats"} (and
-// nothing else of consequence).  Cheap on the hot path: the full parse only
-// runs when the text contains a "kind" key at all.
+// Classify a parsed request document as a probe: {"kind": "health"} or
+// {"kind": "stats"} (other fields are ignored).  The service classifies the
+// tree it parsed at admission, so a request is parsed once; inline kits
+// carry a substrate "kind" one level down and are never probes.
+ProbeKind probe_kind(const JsonValue& root);
+
+// The same for raw text: parse, then classify.  Text that is not JSON is
+// not a probe (the request path reports its parse error).
 ProbeKind probe_kind(const std::string& text);
 
 // Whether `text` is a health probe (probe_kind == Health).
@@ -70,6 +75,10 @@ struct AssessmentRequest {
 // ErrorCode::Parse for malformed JSON and ErrorCode::Validation for a
 // well-formed document that violates the envelope contract.
 AssessmentRequest parse_request(const std::string& text);
+
+// The same for a document already parsed with parse_json (the service's
+// admission parse).  Validation and error messages are identical.
+AssessmentRequest parse_request(const JsonValue& root);
 
 // Identity of the compile artifact a request needs: the canonical %.17g
 // kit document plus reference/bom/scope.  Everything else in the request

@@ -43,24 +43,17 @@ void append_buildup_json(std::string& out, const std::string& name,
                          const core::BuildUpSummary& s, bool has_frontier,
                          bool frontier) {
   out += "{\"name\": \"";
-  out += json_escape(name);
-  out += "\"";
-  const auto field = [&](const char* key, double v) {
-    out += ", \"";
-    out += key;
-    out += "\": ";
-    out += json_number(v);
-  };
-  field("performance", s.performance);
-  field("module_area_mm2", s.module_area_mm2);
-  field("area_rel", s.area_rel);
-  field("shipped_fraction", s.shipped_fraction);
-  field("direct_cost", s.direct_cost);
-  field("yield_loss_per_shipped", s.yield_loss_per_shipped);
-  field("nre_per_shipped", s.nre_per_shipped);
-  field("final_cost_per_shipped", s.final_cost_per_shipped);
-  field("cost_rel", s.cost_rel);
-  field("fom", s.fom);
+  append_json_escaped(out, name);
+  append_json_field(out, "\", \"performance\": ", s.performance);
+  append_json_field(out, ", \"module_area_mm2\": ", s.module_area_mm2);
+  append_json_field(out, ", \"area_rel\": ", s.area_rel);
+  append_json_field(out, ", \"shipped_fraction\": ", s.shipped_fraction);
+  append_json_field(out, ", \"direct_cost\": ", s.direct_cost);
+  append_json_field(out, ", \"yield_loss_per_shipped\": ", s.yield_loss_per_shipped);
+  append_json_field(out, ", \"nre_per_shipped\": ", s.nre_per_shipped);
+  append_json_field(out, ", \"final_cost_per_shipped\": ", s.final_cost_per_shipped);
+  append_json_field(out, ", \"cost_rel\": ", s.cost_rel);
+  append_json_field(out, ", \"fom\": ", s.fom);
   if (has_frontier) {
     out += ", \"frontier\": ";
     out += frontier ? "true" : "false";
@@ -159,7 +152,7 @@ void AssessmentService::recover_journal() {
     Task task;
     task.seq = entry.seq;
     task.text = entry.request;
-    task.enqueued = std::chrono::steady_clock::now();
+    task.received = task.enqueued = std::chrono::steady_clock::now();
     // Recovery is observability-quiet: no trace (the original timings are
     // gone with the crashed process) — only the recovered counters move.
     Outcome outcome = process(task, nullptr);
@@ -188,12 +181,22 @@ AssessmentService::~AssessmentService() {
 }
 
 std::future<std::string> AssessmentService::submit(std::string request_text) {
+  const auto received = std::chrono::steady_clock::now();
   std::promise<std::string> promise;
   std::future<std::string> fut = promise.get_future();
+  // The one parse of the request, outside the admission lock.  Text that
+  // is not JSON is admitted anyway: the worker's parse_request(text)
+  // answers it with the structured parse error under its sequence number.
+  std::optional<JsonValue> doc;
+  try {
+    doc = parse_json(request_text, "serve request");
+  } catch (const std::exception&) {
+  }
+  const std::uint64_t admission_parse_ns = ns_since(received);
   // Probes bypass admission entirely: no sequence number, no queue slot, no
   // journal record — a readiness check or a metrics scrape must not perturb
   // the deterministic request stream.
-  const ProbeKind probe = probe_kind(request_text);
+  const ProbeKind probe = doc ? probe_kind(*doc) : ProbeKind::None;
   if (probe != ProbeKind::None) {
     std::string response;
     {
@@ -233,9 +236,12 @@ std::future<std::string> AssessmentService::submit(std::string request_text) {
       Task task;
       task.seq = next_seq_++;
       task.text = std::move(request_text);
+      task.doc = std::move(doc);
       task.shed = options_.degrade_depth > 0 &&
                   queue_.size() + running_ >= options_.degrade_depth;
+      task.received = received;
       task.enqueued = std::chrono::steady_clock::now();
+      task.admission_parse_ns = admission_parse_ns;
       if (journal_ != nullptr) {
         // Write-ahead: the admit record must be durable before the request
         // can produce any effect.  Appending under the admission lock means
@@ -318,7 +324,7 @@ void AssessmentService::worker_loop() {
     trace.ok = outcome.ok;
     trace.degraded = outcome.degraded;
     trace.error = outcome.error;
-    trace.total_ns = ns_since(task.enqueued);
+    trace.total_ns = ns_since(task.received);
     bool drained_now = false;
     {
       // Release the slot and settle the counters BEFORE delivering the
@@ -478,12 +484,15 @@ AssessmentService::Outcome AssessmentService::process(const Task& task,
   };
   try {
     const auto parse_start = std::chrono::steady_clock::now();
+    // The parse stage is the admission parse plus the envelope validation.
+    if (trace != nullptr) trace->parse_ns = task.admission_parse_ns;
     if (options_.faults.fires(task.seq, FaultKind::Parse)) {
       throw PreconditionError("serve request: injected parse fault",
                               ErrorCode::Parse);
     }
-    const AssessmentRequest request = parse_request(task.text);
-    if (trace != nullptr) trace->parse_ns = ns_since(parse_start);
+    const AssessmentRequest request =
+        task.doc ? parse_request(*task.doc) : parse_request(task.text);
+    if (trace != nullptr) trace->parse_ns += ns_since(parse_start);
     id = request.id;
     return run_assessment(task, request, trace);
   } catch (const PreconditionError& e) {
@@ -623,16 +632,18 @@ AssessmentService::Outcome AssessmentService::run_assessment(
   std::string out;
   out.reserve(1024);
   out += "{\"id\": \"";
-  out += json_escape(request.id);
+  append_json_escaped(out, request.id);
   out += "\", \"status\": \"ok\", \"degraded\": ";
   out += degraded ? "true" : "false";
   out += ", \"kit\": \"";
-  out += json_escape(kit.name);
+  append_json_escaped(out, kit.name);
   out += "\", \"reference\": \"";
-  out += json_escape(reference.name);
+  append_json_escaped(out, reference.name);
   out += "\", \"scope\": \"";
   out += request.scope == core::PipelineScope::Full ? "full" : "cost-only";
-  out += strf("\", \"winner\": %zu, \"buildups\": [", batch.winners[0]);
+  out += "\", \"winner\": ";
+  out += std::to_string(batch.winners[0]);
+  out += ", \"buildups\": [";
   for (std::size_t b = 0; b < n; ++b) {
     if (b > 0) out += ", ";
     append_buildup_json(out, study->buildups[b].name, batch.at(0, b),
@@ -641,19 +652,16 @@ AssessmentService::Outcome AssessmentService::run_assessment(
   out += "]";
   if (have_sensitivity) {
     out += ", \"sensitivity\": {\"buildup\": \"";
-    out += json_escape(study->buildups[sensitivity_target].name);
+    append_json_escaped(out, study->buildups[sensitivity_target].name);
     out += "\", \"rows\": [";
     for (std::size_t i = 0; i < sensitivity.rows.size(); ++i) {
       const core::SensitivityRow& row = sensitivity.rows[i];
       if (i > 0) out += ", ";
       out += "{\"input\": \"";
-      out += json_escape(row.input);
-      out += "\", \"elasticity\": ";
-      out += json_number(row.elasticity);
-      out += ", \"base_cost\": ";
-      out += json_number(row.base_cost);
-      out += ", \"perturbed_cost\": ";
-      out += json_number(row.perturbed_cost);
+      append_json_escaped(out, row.input);
+      append_json_field(out, "\", \"elasticity\": ", row.elasticity);
+      append_json_field(out, ", \"base_cost\": ", row.base_cost);
+      append_json_field(out, ", \"perturbed_cost\": ", row.perturbed_cost);
       out += "}";
     }
     out += "]}";

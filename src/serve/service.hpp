@@ -19,6 +19,7 @@
 #include <deque>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -93,8 +94,10 @@ class AssessmentService {
   AssessmentService& operator=(const AssessmentService&) = delete;
 
   // Admit one request (a single line/frame of JSON).  The future always
-  // becomes a response line; it never throws.  Health and stats probes are
-  // answered immediately without admission (no seq, no journal record).
+  // becomes a response line; it never throws.  The text is parsed once,
+  // before the admission lock; the worker reuses that tree.  Health and
+  // stats probes are answered immediately without admission (no seq, no
+  // journal record).
   std::future<std::string> submit(std::string request_text);
 
   // submit() + wait.
@@ -118,10 +121,16 @@ class AssessmentService {
  private:
   struct Task {
     std::uint64_t seq = 0;
-    std::string text;
+    std::string text;  // journaled verbatim; re-parsed only when doc is empty
+    // The admission parse, moved in so the worker never parses again.
+    // Empty for malformed text (the worker's parse_request(text) produces
+    // the structured parse error) and for journal recovery.
+    std::optional<JsonValue> doc;
     std::promise<std::string> promise;
     bool shed = false;  // admission decided to shed optional stages
+    std::chrono::steady_clock::time_point received;  // submit() entry
     std::chrono::steady_clock::time_point enqueued;
+    std::uint64_t admission_parse_ns = 0;
   };
   struct Outcome {
     std::string body;

@@ -175,6 +175,7 @@ void SocketServer::run() {
       ::close(fd);
       break;
     }
+    reap_finished_threads();
     if (active_connections_.load() >= options_.max_connections) {
       // Refuse above the connection cap with a structured frame so the
       // client sees backpressure, not a silent hangup.
@@ -209,6 +210,21 @@ void SocketServer::run() {
   }
   for (std::thread& t : threads_) t.join();
   threads_.clear();
+  finished_.clear();
+}
+
+void SocketServer::reap_finished_threads() {
+  std::vector<std::thread::id> finished;
+  {
+    std::lock_guard<std::mutex> lk(conn_m_);
+    finished.swap(finished_);
+  }
+  for (const std::thread::id id : finished) {
+    const auto it = std::find_if(threads_.begin(), threads_.end(),
+                                 [&](const std::thread& t) { return t.get_id() == id; });
+    it->join();
+    threads_.erase(it);
+  }
 }
 
 void SocketServer::stop() {
@@ -250,6 +266,7 @@ void SocketServer::serve_connection(int fd) {
   {
     std::lock_guard<std::mutex> lk(conn_m_);
     conn_fds_.erase(std::find(conn_fds_.begin(), conn_fds_.end(), fd));
+    finished_.push_back(std::this_thread::get_id());
   }
   --active_connections_;
 }
@@ -330,6 +347,7 @@ SocketServer::~SocketServer() = default;
 void SocketServer::run() {}
 void SocketServer::stop() {}
 void SocketServer::serve_connection(int) {}
+void SocketServer::reap_finished_threads() {}
 
 SocketClient::SocketClient(const std::string&, std::uint16_t) {
   throw PreconditionError("SocketClient: POSIX sockets unavailable on this platform");

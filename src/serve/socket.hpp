@@ -86,6 +86,8 @@ class SocketServer {
 
  private:
   void serve_connection(int fd);
+  // Joins the connection threads that have finished (run()'s thread only).
+  void reap_finished_threads();
 
   const ServerOptions options_;
   std::unique_ptr<AssessmentService> service_;
@@ -95,6 +97,12 @@ class SocketServer {
   std::atomic<unsigned> active_connections_{0};
   std::mutex conn_m_;
   std::vector<int> conn_fds_;  // open connections, for shutdown on stop
+  // Exited connection threads not yet joined (guarded by conn_m_).
+  std::vector<std::thread::id> finished_;
+  // Connection threads, touched only by run(): finished ones are joined on
+  // the next accept, so a long-lived server holds one per open connection
+  // (plus the few that exited since the last accept), not one per
+  // connection ever served.
   std::vector<std::thread> threads_;
 };
 

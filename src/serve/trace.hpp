@@ -38,13 +38,13 @@ struct RequestTrace {
   std::uint64_t seq = 0;
   // Stage durations, wall-clock nanoseconds.  A stage the request never
   // reached stays 0.
-  std::uint64_t parse_ns = 0;
+  std::uint64_t parse_ns = 0;       // admission parse + envelope validation
   std::uint64_t queue_wait_ns = 0;
   std::uint64_t cache_ns = 0;       // lookup + compile or single-flight wait
   std::uint64_t evaluate_ns = 0;    // pipeline evaluate + optional stages
   std::uint64_t serialize_ns = 0;
   std::uint64_t journal_append_ns = 0;  // commit record append
-  std::uint64_t total_ns = 0;           // admission to response settled
+  std::uint64_t total_ns = 0;           // receipt to response settled
   CacheOutcome cache = CacheOutcome::None;
   bool ok = false;
   bool degraded = false;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 
 #include "common/error.hpp"
@@ -279,6 +280,86 @@ TEST(ServeProtocol, ErrorResponseEscapesAndNamesCode) {
   EXPECT_EQ(line,
             "{\"id\": \"r\\\"1\", \"status\": \"error\", \"code\": \"deadline\", "
             "\"message\": \"a\\nb\"}");
+}
+
+// ---- one parse per request: the tree-based entry points must agree with
+// the text ones, which stay for tools and tests.
+
+TEST(ServeProtocolParseOnce, TreeProbeClassificationMatchesText) {
+  const std::string kit =
+      kits::kit_json(kits::builtin_kit_registry().at(kits::kLtccKit));
+  const std::string texts[] = {
+      R"({"kind": "health"})",
+      R"({"kind": "stats", "id": "s", "extra": {"kind": "health"}})",
+      R"({"kind": "health", "id": "h", "weights": [1, 2]})",
+      R"({"kind": "assess", "id": "x", "kit_name": "pcb-fr4"})",
+      R"({"kind": 7})",
+      R"(["kind", "health"])",
+      R"({"id": "x", "note": "\"kind\": \"health\""})",
+      R"({"id": "i", "kit": )" + kit + "}",
+  };
+  const ProbeKind want[] = {ProbeKind::Health, ProbeKind::Stats, ProbeKind::Health,
+                            ProbeKind::None,   ProbeKind::None,  ProbeKind::None,
+                            ProbeKind::None,   ProbeKind::None};
+  for (std::size_t i = 0; i < std::size(texts); ++i) {
+    EXPECT_EQ(probe_kind(texts[i]), want[i]) << texts[i];
+    EXPECT_EQ(probe_kind(parse_json(texts[i], "test")), want[i]) << texts[i];
+  }
+  // Text that is not JSON is never a probe, whatever it contains.
+  EXPECT_EQ(probe_kind(R"({"kind": "health")"), ProbeKind::None);
+}
+
+TEST(ServeProtocolParseOnce, InlineKitSubstrateKindIsNotAProbe) {
+  const std::string kit =
+      kits::kit_json(kits::builtin_kit_registry().at(kits::kLtccKit));
+  ASSERT_NE(kit.find(R"("kind": "ltcc")"), std::string::npos);
+  const std::string text = R"({"id": "i", "kit": )" + kit + "}";
+  EXPECT_EQ(probe_kind(text), ProbeKind::None);
+  EXPECT_EQ(probe_kind(parse_json(text, "test")), ProbeKind::None);
+}
+
+TEST(ServeProtocolParseOnce, TreeParseMatchesTextParse) {
+  const std::string kit =
+      kits::kit_json(kits::builtin_kit_registry().at(kits::kMcmDSiIpKit));
+  const std::string text = R"({"id": "t", "kit": )" + kit +
+                           R"(, "scope": "cost-only", "pareto": true,)"
+                           R"( "weights": {"cost": 2}, "volume": 5000, "deadline_ms": 7})";
+  const AssessmentRequest a = parse_request(text);
+  const AssessmentRequest b = parse_request(parse_json(text, "test"));
+  EXPECT_EQ(a.id, b.id);
+  EXPECT_EQ(a.scope, b.scope);
+  EXPECT_EQ(a.want_pareto, b.want_pareto);
+  EXPECT_EQ(a.weights.cost, b.weights.cost);
+  EXPECT_EQ(a.volume, b.volume);
+  EXPECT_EQ(a.deadline_ms, b.deadline_ms);
+  EXPECT_EQ(study_cache_key(a), study_cache_key(b));
+  // The cache key embeds the canonical kit document verbatim.
+  EXPECT_NE(study_cache_key(a).find(";kit=" + kit), std::string::npos);
+}
+
+TEST(ServeProtocolParseOnce, TreeParseErrorsMatchTextParseErrors) {
+  const char* texts[] = {
+      R"({"id": "x"})",
+      R"({"id": "x", "kit_name": "k", "bogus": 1})",
+      R"({"id": "a", "kind": "health", "kit_name": "pcb-fr4"})",
+      R"({"id": "x", "kit_name": "k", "weights": {"speed": 1}})",
+  };
+  for (const char* text : texts) {
+    std::string text_error;
+    std::string tree_error;
+    try {
+      parse_request(std::string(text));
+    } catch (const PreconditionError& e) {
+      text_error = e.what();
+    }
+    try {
+      parse_request(parse_json(text, "test"));
+    } catch (const PreconditionError& e) {
+      tree_error = e.what();
+    }
+    EXPECT_FALSE(text_error.empty()) << text;
+    EXPECT_EQ(text_error, tree_error) << text;
+  }
 }
 
 }  // namespace

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <future>
 #include <string>
 #include <vector>
 
 #include "common/json.hpp"
 #include "gps/bom.hpp"
+#include "kits/kit_json.hpp"
 #include "kits/registry.hpp"
 
 namespace ipass::serve {
@@ -278,6 +280,123 @@ TEST(AssessmentService, CacheIsSharedAcrossRequests) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.cache.misses, 1U);
   EXPECT_EQ(stats.cache.hits, 2U);
+}
+
+// ---- one parse per request: admission parses once, the worker reads the
+// tree.  Every response below is pinned to the bytes of the two-parse
+// implementation (probe re-parse plus parse_request(text)).
+
+std::string ltcc_kit_text() {
+  return kits::kit_json(kits::builtin_kit_registry().at(kits::kLtccKit));
+}
+
+TEST(AssessmentServiceParseOnce, InlineKitSubstrateKindIsNotAProbe) {
+  AssessmentService service;
+  const std::string response = service.handle(
+      R"({"id": "inline-kind", "kit": )" + ltcc_kit_text() + R"(, "scope": "cost-only"})");
+  EXPECT_EQ(response,
+      R"({"id": "inline-kind", "status": "ok", "degraded": false)"
+      R"(, "kit": "ltcc-ceramic", "reference": "pcb-fr4")"
+      R"(, "scope": "cost-only", "winner": 1, "buildups": [{"name": "PCB/SMD")"
+      R"(, "performance": 1, "module_area_mm2": 1888.7499999999998)"
+      R"(, "area_rel": 1, "shipped_fraction": 0.9324459538005192)"
+      R"(, "direct_cost": 85.578750000000014)"
+      R"(, "yield_loss_per_shipped": 6.2000277953167089)"
+      R"(, "nre_per_shipped": 0.53575532227008271)"
+      R"(, "final_cost_per_shipped": 92.314533117586805, "cost_rel": 1)"
+      R"(, "fom": 1}, {"name": "LTCC/WB/IP&SMD", "performance": 1)"
+      R"(, "module_area_mm2": 748.53409791928766)"
+      R"(, "area_rel": 0.39631189830273345)"
+      R"(, "shipped_fraction": 0.90302760384694558)"
+      R"(, "direct_cost": 75.771072783354299)"
+      R"(, "yield_loss_per_shipped": 7.1135273725139321)"
+      R"(, "nre_per_shipped": 3.3192532344504251)"
+      R"(, "final_cost_per_shipped": 86.203853390318656)"
+      R"(, "cost_rel": 0.93380587518668823, "fom": 2.7021302962632969}]})");
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.admitted, 1U);
+  EXPECT_EQ(stats.health, 0U);
+  EXPECT_EQ(stats.stats_probes, 0U);
+}
+
+TEST(AssessmentServiceParseOnce, ProbeWithExtraFieldsIsAnsweredUnsequenced) {
+  const std::string path = ::testing::TempDir() + "ipass_parse_once_probe.wal";
+  std::remove(path.c_str());
+  {
+    ServiceOptions options;
+    options.journal_path = path;
+    AssessmentService service(options);
+    EXPECT_EQ(service.handle(R"({"kind": "health", "id": "h1", "extra": [1, 2]})"),
+              R"({"status": "ok", "version": "ipass-serve/9", "queue_depth": 0)"
+              R"(, "running": 0, "workers": 1, "admitted": 0, "completed": 0)"
+              R"(, "cache_size": 0, "cache_hits": 0, "journal": true)"
+              R"(, "journal_lag": 0, "draining": false})");
+    EXPECT_NE(service.handle(R"({"id": "x", "kind": "stats", "weights": {"cost": 2}})")
+                  .find(R"("kind": "stats")"),
+              std::string::npos);
+    EXPECT_EQ(service.journal()->admit_count(), 0U);
+    // The next real request still gets seq 0.
+    service.handle(R"({"id": "a", "kit_name": "pcb-fr4"})");
+    ASSERT_EQ(service.traces().snapshot().size(), 1U);
+    EXPECT_EQ(service.traces().snapshot()[0].seq, 0U);
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.health, 1U);
+    EXPECT_EQ(stats.stats_probes, 1U);
+    EXPECT_EQ(stats.admitted, 1U);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(AssessmentServiceParseOnce, MalformedTextWithKindGetsTheStructuredParseError) {
+  AssessmentService service;
+  EXPECT_EQ(service.handle(R"({"kind": "health", "id": "m1")"),
+            R"({"id": "", "status": "error", "code": "parse", )"
+            R"("message": "serve request: unexpected end of document at offset 29"})");
+  EXPECT_EQ(service.handle(R"({"id": "m2", "kit": {"substrate": {"kind": "ltcc"}})"),
+            R"({"id": "", "status": "error", "code": "parse", )"
+            R"("message": "serve request: unexpected end of document at offset 51"})");
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.admitted, 2U);  // sequenced like any request
+  EXPECT_EQ(stats.parse_errors, 2U);
+  EXPECT_EQ(stats.health, 0U);
+}
+
+TEST(AssessmentServiceParseOnce, InjectedParseFaultStillWins) {
+  ServiceOptions options;
+  options.faults.parse_rate = 1.0;
+  AssessmentService service(options);
+  const std::string injected =
+      R"({"id": "", "status": "error", "code": "parse", )"
+      R"("message": "serve request: injected parse fault"})";
+  EXPECT_EQ(service.handle(R"({"id": "p1", "kit_name": "pcb-fr4"})"), injected);
+  EXPECT_EQ(service.handle(R"({"id": "p2", "kit": )" + ltcc_kit_text() + "}"), injected);
+  // The trace charges the admission parse even though the worker never
+  // validated the envelope.
+  const std::vector<RequestTrace> traces = service.traces().snapshot();
+  ASSERT_EQ(traces.size(), 2U);
+  for (const RequestTrace& t : traces) EXPECT_GT(t.parse_ns, 0U);
+}
+
+TEST(AssessmentServiceParseOnce, TracedStagesIncludeAdmissionParseAndFitTheTotal) {
+  ServiceOptions options;
+  options.journal_path = ::testing::TempDir() + "ipass_parse_once_trace.wal";
+  std::remove(options.journal_path.c_str());
+  {
+    AssessmentService service(options);
+    const std::string request = R"({"id": "t", "kit": )" + ltcc_kit_text() + "}";
+    for (int i = 0; i < 4; ++i) service.handle(request);
+    service.handle("garbage");
+    const std::vector<RequestTrace> traces = service.traces().snapshot();
+    ASSERT_EQ(traces.size(), 5U);
+    for (const RequestTrace& t : traces) {
+      EXPECT_GT(t.parse_ns, 0U) << "seq " << t.seq;
+      const std::uint64_t stages = t.parse_ns + t.queue_wait_ns + t.cache_ns +
+                                   t.evaluate_ns + t.serialize_ns +
+                                   t.journal_append_ns;
+      EXPECT_LE(stages, t.total_ns) << "seq " << t.seq;
+    }
+  }
+  std::remove(options.journal_path.c_str());
 }
 
 }  // namespace

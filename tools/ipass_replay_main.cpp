@@ -23,9 +23,10 @@
 // interrupted replay, skipping the log lines the journal already admitted
 // (a sequential replay admits in log order, so the admit count IS the
 // resume point) and sending only the remainder.  --health retries a
-// {"kind":"health"} probe until the daemon answers (readiness gate);
-// --stats does the same with {"kind":"stats"} and prints the daemon's full
-// operational counters.  Both probes are answered at admission — no
+// {"kind":"health"} probe until the daemon answers (readiness gate) and
+// exits non-zero when the answer is an error response (e.g. the overload
+// refusal of a daemon at its connection cap); --stats does the same with
+// {"kind":"stats"} and prints the daemon's full operational counters.  Both probes are answered at admission — no
 // sequence number, no journal record — so probing never perturbs the
 // deterministic response stream.
 
@@ -38,6 +39,7 @@
 #include <thread>
 #include <vector>
 
+#include "serve/client.hpp"
 #include "serve/journal.hpp"
 #include "serve/replay.hpp"
 #include "serve/socket.hpp"
@@ -65,23 +67,26 @@ bool split_host_port(const std::string& spec, std::string& host,
   return true;
 }
 
-// Probe loop shared by --health and --stats: retry until the daemon answers
-// (it may still be recovering its journal or binding the port).
+// Probe shared by --health and --stats: retry until the daemon answers (it
+// may still be recovering its journal or binding the port).  An error reply
+// (e.g. a saturated daemon's "too many connections" refusal) is printed and
+// fails the probe: the daemon answered, but it is not ready to serve.
 int probe_daemon(const char* flag, const std::string& probe,
                  const std::string& host, std::uint16_t port) {
-  for (int attempt = 0; attempt < 40; ++attempt) {
-    try {
-      ipass::serve::SocketClient client(host, port);
-      const std::string response = client.roundtrip(probe);
-      std::printf("%s\n", response.c_str());
-      return 0;
-    } catch (const std::exception&) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(250));
-    }
+  const ipass::serve::ProbeResult result = ipass::serve::probe_daemon(
+      host, port, probe, 40, std::chrono::milliseconds(250));
+  if (!result.answered) {
+    std::fprintf(stderr, "ipass_replay: %s: %s:%u never became ready\n", flag,
+                 host.c_str(), static_cast<unsigned>(port));
+    return 1;
   }
-  std::fprintf(stderr, "ipass_replay: %s: %s:%u never became ready\n", flag,
-               host.c_str(), static_cast<unsigned>(port));
-  return 1;
+  std::printf("%s\n", result.response.c_str());
+  if (!result.ok) {
+    std::fprintf(stderr, "ipass_replay: %s: %s:%u answered with an error\n", flag,
+                 host.c_str(), static_cast<unsigned>(port));
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace
