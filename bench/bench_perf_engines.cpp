@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <thread>
 
 #include "common/jsonfmt.hpp"
 #include "common/metrics.hpp"
@@ -30,6 +31,7 @@
 #include "rf/tolerance.hpp"
 #include "rf/transform.hpp"
 #include "serve/service.hpp"
+#include "serve/socket.hpp"
 
 using namespace ipass;
 
@@ -535,6 +537,27 @@ void BM_ServeRequestJournaled(benchmark::State& state) {
   std::remove(options.journal_path.c_str());
 }
 BENCHMARK(BM_ServeRequestJournaled)->UseRealTime();
+
+// The cached request over loopback TCP: a SocketClient frames it, the
+// SocketServer's connection thread runs it through handle(), and the
+// response frame comes back.  The gap to BM_ServeRequestCached is the
+// transport: two frame writes, two frame reads and the thread wake-ups.
+void BM_ServeSocketRoundTrip(benchmark::State& state) {
+  serve::SocketServer server(serve::ServerOptions{});
+  std::thread accept_loop([&server] { server.run(); });
+  {
+    serve::SocketClient client("127.0.0.1", server.port());
+    const std::string request = R"({"id": "bench", "kit_name": "mcm-d-si-ip"})";
+    benchmark::DoNotOptimize(client.roundtrip(request));  // warm the cache
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(client.roundtrip(request));
+    }
+  }
+  server.stop();
+  accept_loop.join();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServeSocketRoundTrip)->UseRealTime();
 
 // The cold path: a fresh service, so the first request compiles the study
 // (MNA performance sweeps + area + cost-model flattening) before it can

@@ -180,10 +180,9 @@ AssessmentService::~AssessmentService() {
   for (std::thread& t : workers_) t.join();
 }
 
-std::future<std::string> AssessmentService::submit(std::string request_text) {
+std::optional<std::string> AssessmentService::admit(
+    std::string request_text, std::future<std::string>& queued, Task* run_here) {
   const auto received = std::chrono::steady_clock::now();
-  std::promise<std::string> promise;
-  std::future<std::string> fut = promise.get_future();
   // The one parse of the request, outside the admission lock.  Text that
   // is not JSON is admitted anyway: the worker's parse_request(text)
   // answers it with the structured parse error under its sequence number.
@@ -198,37 +197,28 @@ std::future<std::string> AssessmentService::submit(std::string request_text) {
   // the deterministic request stream.
   const ProbeKind probe = doc ? probe_kind(*doc) : ProbeKind::None;
   if (probe != ProbeKind::None) {
-    std::string response;
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      if (probe == ProbeKind::Health) {
-        ++stats_.health;
-        ServiceMetrics::instance().health_probes.add();
-        response = health_response();
-      } else {
-        ++stats_.stats_probes;
-        ServiceMetrics::instance().stats_probes.add();
-        response = stats_response();
-      }
+    std::lock_guard<std::mutex> lk(m_);
+    if (probe == ProbeKind::Health) {
+      ++stats_.health;
+      ServiceMetrics::instance().health_probes.add();
+      return health_response();
     }
-    promise.set_value(std::move(response));
-    return fut;
+    ++stats_.stats_probes;
+    ServiceMetrics::instance().stats_probes.add();
+    return stats_response();
   }
-  bool refused = false;
   ErrorCode refusal_code = ErrorCode::Overload;
   std::string refusal;
+  bool wake_worker = false;
   {
     std::lock_guard<std::mutex> lk(m_);
     if (stopping_) {
-      refused = true;
       refusal = "service is shutting down";
     } else if (draining_) {
-      refused = true;
       refusal = "service is draining; retry against another instance or later";
       ++stats_.overloaded;
       ServiceMetrics::instance().overloaded.add();
     } else if (queue_.size() + running_ >= options_.queue_limit) {
-      refused = true;
       refusal = "service overloaded; retry later";
       ++stats_.overloaded;
       ServiceMetrics::instance().overloaded.add();
@@ -250,7 +240,6 @@ std::future<std::string> AssessmentService::submit(std::string request_text) {
         try {
           journal_->append_admit(task.seq, task.text);
         } catch (const std::exception& e) {
-          refused = true;
           refusal_code = ErrorCode::Internal;
           refusal = strf("journal append failed: %s", e.what());
           next_seq_ = task.seq;  // the seq was never admitted; reuse it
@@ -258,9 +247,20 @@ std::future<std::string> AssessmentService::submit(std::string request_text) {
           ServiceMetrics::instance().overloaded.add();
         }
       }
-      if (!refused) {
-        task.promise = std::move(promise);
-        queue_.push_back(std::move(task));
+      if (refusal.empty()) {
+        // Run here only behind an empty queue, so a queued request is
+        // never overtaken; otherwise queue and wake a worker if a slot is
+        // free (a busy slot's release hands the task on).
+        const bool slot_free = running_ < options_.workers;
+        if (run_here != nullptr && slot_free && queue_.empty()) {
+          *run_here = std::move(task);
+          ++running_;
+        } else {
+          Queued& q = queue_.emplace_back();
+          q.task = std::move(task);
+          queued = q.promise.get_future();
+          wake_worker = slot_free;
+        }
         ++stats_.admitted;
         ServiceMetrics::instance().admitted.add();
         const std::uint64_t depth =
@@ -271,18 +271,34 @@ std::future<std::string> AssessmentService::submit(std::string request_text) {
       }
     }
   }
-  if (refused) {
+  if (!refusal.empty()) {
     // The client correlates by response order; an admission refusal never
     // parsed the request, so it carries no id.
-    promise.set_value(error_response("", refusal_code, refusal));
-  } else {
-    cv_.notify_one();
+    return error_response("", refusal_code, refusal);
   }
-  return fut;
+  if (wake_worker) cv_.notify_one();
+  return std::nullopt;
+}
+
+std::future<std::string> AssessmentService::submit(std::string request_text) {
+  std::future<std::string> queued;
+  if (std::optional<std::string> answered =
+          admit(std::move(request_text), queued, nullptr)) {
+    std::promise<std::string> promise;
+    queued = promise.get_future();
+    promise.set_value(std::move(*answered));
+  }
+  return queued;
 }
 
 std::string AssessmentService::handle(const std::string& request_text) {
-  return submit(request_text).get();
+  Task task;
+  std::future<std::string> queued;
+  if (std::optional<std::string> answered = admit(request_text, queued, &task)) {
+    return std::move(*answered);
+  }
+  if (queued.valid()) return queued.get();
+  return run_task(task, /*caller_run=*/true);
 }
 
 ServiceStats AssessmentService::stats() const {
@@ -294,73 +310,83 @@ ServiceStats AssessmentService::stats() const {
 
 void AssessmentService::worker_loop() {
   for (;;) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lk(m_);
-      cv_.wait(lk, [&] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++running_;
-    }
-    RequestTrace trace;
-    trace.seq = task.seq;
-    trace.queue_wait_ns = ns_since(task.enqueued);
-    Outcome outcome = process(task, &trace);
-    // Commit BEFORE the future resolves: once a client can observe the
-    // response, a crash must not forget it (write-ahead on both edges).
-    // Commits from concurrent workers may interleave out of seq order in
-    // the file; recovery orders by seq.
-    if (journal_ != nullptr) {
-      const auto journal_start = std::chrono::steady_clock::now();
-      try {
-        journal_->append_commit(task.seq, outcome.body);
-      } catch (const std::exception&) {
-        // A failed commit append (disk full) leaves the request admitted-
-        // but-uncommitted: the next boot re-executes it, which is safe.
-      }
-      trace.journal_append_ns = ns_since(journal_start);
-    }
-    trace.ok = outcome.ok;
-    trace.degraded = outcome.degraded;
-    trace.error = outcome.error;
-    trace.total_ns = ns_since(task.received);
-    bool drained_now = false;
-    {
-      // Release the slot and settle the counters BEFORE delivering the
-      // response: a caller woken by the future must observe the slot free
-      // (the replay window-throttling guarantee) and the stats settled.
-      std::lock_guard<std::mutex> lk(m_);
-      --running_;
-      ++stats_.completed;
-      if (outcome.ok) {
-        ++stats_.ok;
-      } else {
-        ++stats_.errors;
-        switch (outcome.error) {
-          case ErrorCode::Deadline:
-            ++stats_.deadline_exceeded;
-            break;
-          case ErrorCode::Parse:
-            ++stats_.parse_errors;
-            break;
-          case ErrorCode::Validation:
-            ++stats_.validation_errors;
-            break;
-          default:
-            ++stats_.internal_errors;
-            break;
-        }
-      }
-      if (outcome.degraded) ++stats_.degraded;
-      ServiceMetrics::instance().queue_depth.set(
-          static_cast<std::int64_t>(queue_.size() + running_));
-      drained_now = queue_.empty() && running_ == 0;
-    }
-    finish_trace(trace);
-    if (drained_now) drained_cv_.notify_all();
-    task.promise.set_value(std::move(outcome.body));
+    std::unique_lock<std::mutex> lk(m_);
+    cv_.wait(lk, [&] {
+      return (stopping_ && queue_.empty()) ||
+             (!queue_.empty() && running_ < options_.workers);
+    });
+    if (queue_.empty()) return;  // stopping and drained
+    Queued q = std::move(queue_.front());
+    queue_.pop_front();
+    ++running_;
+    lk.unlock();
+    q.promise.set_value(run_task(q.task, /*caller_run=*/false));
   }
+}
+
+std::string AssessmentService::run_task(Task& task, bool caller_run) {
+  RequestTrace trace;
+  trace.seq = task.seq;
+  trace.queue_wait_ns = ns_since(task.enqueued);
+  Outcome outcome = process(task, &trace);
+  // Commit BEFORE the response is delivered: once a client can observe it,
+  // a crash must not forget it (write-ahead on both edges).  Commits from
+  // concurrent requests may interleave out of seq order in the file;
+  // recovery orders by seq.
+  if (journal_ != nullptr) {
+    const auto journal_start = std::chrono::steady_clock::now();
+    try {
+      journal_->append_commit(task.seq, outcome.body);
+    } catch (const std::exception&) {
+      // A failed commit append (disk full) leaves the request admitted-
+      // but-uncommitted: the next boot re-executes it, which is safe.
+    }
+    trace.journal_append_ns = ns_since(journal_start);
+  }
+  trace.ok = outcome.ok;
+  trace.degraded = outcome.degraded;
+  trace.error = outcome.error;
+  trace.total_ns = ns_since(task.received);
+  bool drained_now = false;
+  bool wake_worker = false;
+  {
+    // Release the slot and settle the counters BEFORE delivering the
+    // response: a caller woken by the response must observe the slot free
+    // (the replay window-throttling guarantee) and the stats settled.
+    std::lock_guard<std::mutex> lk(m_);
+    --running_;
+    ++stats_.completed;
+    if (outcome.ok) {
+      ++stats_.ok;
+    } else {
+      ++stats_.errors;
+      switch (outcome.error) {
+        case ErrorCode::Deadline:
+          ++stats_.deadline_exceeded;
+          break;
+        case ErrorCode::Parse:
+          ++stats_.parse_errors;
+          break;
+        case ErrorCode::Validation:
+          ++stats_.validation_errors;
+          break;
+        default:
+          ++stats_.internal_errors;
+          break;
+      }
+    }
+    if (outcome.degraded) ++stats_.degraded;
+    ServiceMetrics::instance().queue_depth.set(
+        static_cast<std::int64_t>(queue_.size() + running_));
+    drained_now = queue_.empty() && running_ == 0;
+    // A pool worker takes the next task itself; a caller-run slot is handed
+    // to an idle worker.
+    wake_worker = caller_run && !queue_.empty();
+  }
+  if (wake_worker) cv_.notify_one();
+  finish_trace(trace);
+  if (drained_now) drained_cv_.notify_all();
+  return std::move(outcome.body);
 }
 
 void AssessmentService::finish_trace(RequestTrace& trace) const {

@@ -4,14 +4,21 @@
 // and the replay tool are thin shells over this class; every behavior is
 // testable in-process without a network.
 //
+// Dispatch: every admitted request runs through one execution routine,
+// either on a pool worker (submit(), and handle() when it must wait) or on
+// the thread that called handle() (caller-run: nothing is queued and a
+// slot is free, so the request skips both cross-thread hand-offs).
+// `workers` caps the requests running at once across both kinds, and a
+// queued request is never overtaken by a later handle().
+//
 // Robustness contract: submit() always yields exactly one response line —
 // a request can fail (structured error with a taxonomy code), be shed
 // (degraded response), or be refused at admission (overloaded error), but
 // it can never crash the process, deadlock, or leak its queue slot.  The
 // response content is a pure function of (request text, admission sequence
-// number, service options): timing, thread interleaving and cache state
-// never leak into the bytes, which is what makes request-log replay
-// byte-identical across worker counts.
+// number, service options): timing, thread interleaving, dispatch and
+// cache state never leak into the bytes, which is what makes request-log
+// replay byte-identical across worker counts.
 #pragma once
 
 #include <chrono>
@@ -35,7 +42,9 @@
 namespace ipass::serve {
 
 struct ServiceOptions {
-  unsigned workers = 1;          // request-level concurrency
+  // Cap on concurrently running requests, pooled or caller-run; also the
+  // pool's thread count.
+  unsigned workers = 1;
   std::size_t queue_limit = 64;  // admitted-but-unfinished cap; above = overloaded
   // Backlog depth at admission from which optional stages (pareto,
   // sensitivity) are shed and the response flagged "degraded": true.
@@ -93,14 +102,17 @@ class AssessmentService {
   AssessmentService(const AssessmentService&) = delete;
   AssessmentService& operator=(const AssessmentService&) = delete;
 
-  // Admit one request (a single line/frame of JSON).  The future always
-  // becomes a response line; it never throws.  The text is parsed once,
-  // before the admission lock; the worker reuses that tree.  Health and
-  // stats probes are answered immediately without admission (no seq, no
-  // journal record).
+  // Admit one request (a single line/frame of JSON) for a pool worker.
+  // The future always becomes a response line; it never throws.  The text
+  // is parsed once, before the admission lock; the worker reuses that
+  // tree.  Health and stats probes are answered immediately without
+  // admission (no seq, no journal record).
   std::future<std::string> submit(std::string request_text);
 
-  // submit() + wait.
+  // Admit and wait, with the same admission and the same response bytes as
+  // submit().get().  When nothing is queued and a slot is free the request
+  // runs on the calling thread (no promise, no worker wake-up); otherwise
+  // it queues behind the requests already waiting.
   std::string handle(const std::string& request_text);
 
   // Graceful drain: stop admitting (new submissions get structured overload
@@ -126,11 +138,15 @@ class AssessmentService {
     // Empty for malformed text (the worker's parse_request(text) produces
     // the structured parse error) and for journal recovery.
     std::optional<JsonValue> doc;
-    std::promise<std::string> promise;
     bool shed = false;  // admission decided to shed optional stages
-    std::chrono::steady_clock::time_point received;  // submit() entry
-    std::chrono::steady_clock::time_point enqueued;
+    std::chrono::steady_clock::time_point received;  // submit()/handle() entry
+    std::chrono::steady_clock::time_point enqueued;  // admission decided
     std::uint64_t admission_parse_ns = 0;
+  };
+  // A task waiting for a pool worker, with the promise its submitter holds.
+  struct Queued {
+    Task task;
+    std::promise<std::string> promise;
   };
   struct Outcome {
     std::string body;
@@ -139,6 +155,21 @@ class AssessmentService {
     ErrorCode error = ErrorCode::Unspecified;  // set when !ok
   };
 
+  // The one admission routine behind submit() and handle(): parse, then
+  // under m_ sequence, journal, shed, refuse or queue the request.  With
+  // `run_here`, a request that finds nothing queued and a slot free claims
+  // the slot and is moved into *run_here instead of being queued.  Returns
+  // the response when admission answered the request itself (a probe or a
+  // refusal); otherwise `queued` holds the queued task's future, or stays
+  // invalid when the task was claimed to run here.
+  std::optional<std::string> admit(std::string request_text,
+                                   std::future<std::string>& queued,
+                                   Task* run_here);
+  // Execute one admitted task holding a slot: trace, process, journal
+  // commit, release the slot and settle the counters, finish the trace,
+  // signal a drain.  Shared by the pool and caller-run dispatch; a
+  // caller-run task hands its freed slot to a worker when work is queued.
+  std::string run_task(Task& task, bool caller_run);
   void worker_loop();
   // Never throws: every failure becomes a structured error response.
   // `trace` (optional) receives the stage durations and the outcome
@@ -160,10 +191,11 @@ class AssessmentService {
   std::unique_ptr<Journal> journal_;  // null when journaling is off
 
   mutable std::mutex m_;
+  // Workers wait here for a queued task and a free slot.
   std::condition_variable cv_;
   std::condition_variable drained_cv_;
-  std::deque<Task> queue_;
-  std::size_t running_ = 0;
+  std::deque<Queued> queue_;
+  std::size_t running_ = 0;  // slots held, pooled plus caller-run
   std::uint64_t next_seq_ = 0;
   bool stopping_ = false;
   bool draining_ = false;

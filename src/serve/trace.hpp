@@ -39,6 +39,8 @@ struct RequestTrace {
   // Stage durations, wall-clock nanoseconds.  A stage the request never
   // reached stays 0.
   std::uint64_t parse_ns = 0;       // admission parse + envelope validation
+  // Admission to execution start; ~0 for a request handle() ran on the
+  // calling thread (it never waited for a worker).
   std::uint64_t queue_wait_ns = 0;
   std::uint64_t cache_ns = 0;       // lookup + compile or single-flight wait
   std::uint64_t evaluate_ns = 0;    // pipeline evaluate + optional stages

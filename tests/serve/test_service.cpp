@@ -2,15 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.hpp"
 #include "gps/bom.hpp"
 #include "kits/kit_json.hpp"
 #include "kits/registry.hpp"
+#include "serve/replay.hpp"
 
 namespace ipass::serve {
 namespace {
@@ -390,6 +394,8 @@ TEST(AssessmentServiceParseOnce, TracedStagesIncludeAdmissionParseAndFitTheTotal
     ASSERT_EQ(traces.size(), 5U);
     for (const RequestTrace& t : traces) {
       EXPECT_GT(t.parse_ns, 0U) << "seq " << t.seq;
+      // Sequential handle() calls run on the calling thread: no hand-off.
+      EXPECT_LT(t.queue_wait_ns, 1000000U) << "seq " << t.seq;
       const std::uint64_t stages = t.parse_ns + t.queue_wait_ns + t.cache_ns +
                                    t.evaluate_ns + t.serialize_ns +
                                    t.journal_append_ns;
@@ -397,6 +403,165 @@ TEST(AssessmentServiceParseOnce, TracedStagesIncludeAdmissionParseAndFitTheTotal
     }
   }
   std::remove(options.journal_path.c_str());
+}
+
+// ---- dispatch: handle() runs on the calling thread when a slot is free
+// and nothing is queued; otherwise it queues like submit().
+
+// Poll `done` (the service's own counters) until it holds or 10 s pass.
+template <typename Pred>
+bool eventually(Pred done) {
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > until) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+ServiceOptions stalled_single_slot(std::uint32_t stall_ms) {
+  ServiceOptions options;
+  options.workers = 1;
+  options.faults.stall_rate = 1.0;
+  options.faults.stall_ms = stall_ms;
+  return options;
+}
+
+TEST(AssessmentServiceDispatch, HandleQueuesWhileTheOnlySlotIsBusy) {
+  AssessmentService service(stalled_single_slot(300));
+  std::future<std::string> pooled =
+      service.submit(R"({"id": "pooled", "kit_name": "ltcc-ceramic"})");
+  ASSERT_TRUE(eventually([&] {
+    const JsonValue health = parse_response(service.handle(R"({"kind": "health"})"));
+    return field(health, "running")->number == 1.0;
+  }));
+  std::future<std::string> caller = std::async(std::launch::async, [&] {
+    return service.handle(R"({"id": "caller", "kit_name": "ltcc-ceramic"})");
+  });
+  ASSERT_TRUE(eventually([&] { return service.stats().admitted == 2; }));
+  // The second request waits in the queue instead of running beside the
+  // first: the slot cap covers caller-run requests too.
+  const JsonValue health = parse_response(service.handle(R"({"kind": "health"})"));
+  EXPECT_EQ(field(health, "running")->number, 1.0);
+  EXPECT_EQ(field(health, "queue_depth")->number, 1.0);
+  EXPECT_EQ(field_str(parse_response(pooled.get()), "status"), "ok");
+  EXPECT_EQ(field_str(parse_response(caller.get()), "status"), "ok");
+  const std::vector<RequestTrace> traces = service.traces().snapshot();
+  ASSERT_EQ(traces.size(), 2U);
+  // seq 1 waited out most of seq 0's stall before a worker took it.
+  EXPECT_EQ(traces[1].seq, 1U);
+  EXPECT_GT(traces[1].queue_wait_ns, 100000000U);
+  EXPECT_EQ(service.stats().queue_high_water, 2U);
+}
+
+TEST(AssessmentServiceDispatch, HandleNeverOvertakesAQueuedRequest) {
+  AssessmentService service(stalled_single_slot(60));
+  std::future<std::string> first =
+      service.submit(R"({"id": "first", "kit_name": "ltcc-ceramic"})");
+  std::future<std::string> second =
+      service.submit(R"({"id": "second", "kit_name": "ltcc-ceramic"})");
+  std::future<bool> third_after_second = std::async(std::launch::async, [&] {
+    service.handle(R"({"id": "third", "kit_name": "ltcc-ceramic"})");
+    return second.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+  });
+  EXPECT_TRUE(third_after_second.get());
+  first.get();
+  // With one slot, completion order is admission order.
+  const std::vector<RequestTrace> traces = service.traces().snapshot();
+  ASSERT_EQ(traces.size(), 3U);
+  for (std::size_t i = 0; i < traces.size(); ++i) EXPECT_EQ(traces[i].seq, i);
+}
+
+TEST(AssessmentServiceDispatch, CallerRunSlotIsHandedToAWorker) {
+  AssessmentService service(stalled_single_slot(150));
+  std::future<std::string> caller = std::async(std::launch::async, [&] {
+    return service.handle(R"({"id": "caller", "kit_name": "ltcc-ceramic"})");
+  });
+  ASSERT_TRUE(eventually([&] { return service.stats().admitted == 1; }));
+  // Queued behind the caller-run request; no worker may start it while the
+  // caller holds the only slot, and the caller's release must wake one.
+  std::future<std::string> pooled =
+      service.submit(R"({"id": "pooled", "kit_name": "ltcc-ceramic"})");
+  const JsonValue health = parse_response(service.handle(R"({"kind": "health"})"));
+  EXPECT_EQ(field(health, "running")->number, 1.0);
+  EXPECT_EQ(field(health, "queue_depth")->number, 1.0);
+  ASSERT_EQ(pooled.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+  EXPECT_EQ(field_str(parse_response(pooled.get()), "status"), "ok");
+  EXPECT_EQ(field_str(parse_response(caller.get()), "status"), "ok");
+  const std::vector<RequestTrace> traces = service.traces().snapshot();
+  ASSERT_EQ(traces.size(), 2U);
+  EXPECT_LT(traces[0].queue_wait_ns, 1000000U);
+  EXPECT_GT(traces[1].queue_wait_ns, 50000000U);
+}
+
+TEST(AssessmentServiceDispatch, DrainWaitsForACallerRunRequest) {
+  AssessmentService service(stalled_single_slot(250));
+  std::future<std::string> caller = std::async(std::launch::async, [&] {
+    return service.handle(R"({"id": "caller", "kit_name": "ltcc-ceramic"})");
+  });
+  ASSERT_TRUE(eventually([&] { return service.stats().admitted == 1; }));
+  service.begin_drain();
+  EXPECT_FALSE(service.await_drained(std::chrono::milliseconds(20)));
+  EXPECT_TRUE(service.await_drained(std::chrono::milliseconds(10000)));
+  EXPECT_EQ(field_str(parse_response(caller.get()), "status"), "ok");
+  const std::vector<RequestTrace> traces = service.traces().snapshot();
+  ASSERT_EQ(traces.size(), 1U);
+  EXPECT_LT(traces[0].queue_wait_ns, 1000000U);  // ran on the caller
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.completed, 1U);
+  EXPECT_EQ(stats.ok, 1U);
+}
+
+TEST(AssessmentServiceDispatch, ConcurrentHandleJournalMatchesSerialReplay) {
+  const std::vector<std::string> kits = {"pcb-fr4", "mcm-d-si-ip", "ltcc-ceramic",
+                                         "organic-ep", "si-interposer-2p5d"};
+  ServiceOptions options;
+  options.workers = 2;
+  // Seq-keyed faults make every response depend on its admission seq.
+  options.faults.seed = 9;
+  options.faults.parse_rate = 0.05;
+  options.faults.worker_throw_rate = 0.05;
+  options.faults.deadline_rate = 0.05;
+  options.faults.evict_rate = 0.1;
+  options.journal_path = ::testing::TempDir() + "ipass_dispatch_determinism.wal";
+  std::remove(options.journal_path.c_str());
+  {
+    AssessmentService service(options);
+    std::vector<std::thread> callers;
+    for (int t = 0; t < 8; ++t) {
+      callers.emplace_back([&service, &kits, t] {
+        for (int i = 0; i < 50; ++i) {
+          const int n = t * 50 + i;
+          std::string request = "{\"id\": \"c" + std::to_string(n) +
+                                "\", \"kit_name\": \"" + kits[n % kits.size()] + "\"";
+          if (n % 7 == 0) request += ", \"volume\": " + std::to_string(1000 + n);
+          if (n % 11 == 0) request += ", \"pareto\": true";
+          if (n % 13 == 0) request += ", \"weights\": {\"cost\": 2}";
+          service.handle(n % 37 == 0 ? "not json" : request + "}");
+        }
+      });
+    }
+    for (std::thread& c : callers) c.join();
+    EXPECT_EQ(service.stats().completed, 400U);
+  }
+  JournalRecovery journal = scan_journal(options.journal_path);
+  std::remove(options.journal_path.c_str());
+  ASSERT_EQ(journal.entries.size(), 400U);
+  std::sort(journal.entries.begin(), journal.entries.end(),
+            [](const JournalEntry& a, const JournalEntry& b) { return a.seq < b.seq; });
+  std::vector<std::string> texts;
+  for (const JournalEntry& e : journal.entries) {
+    ASSERT_TRUE(e.committed) << "seq " << e.seq;
+    texts.push_back(e.request);
+  }
+  ServiceOptions serial = options;
+  serial.workers = 1;
+  serial.journal_path.clear();
+  AssessmentService reference(serial);
+  const std::vector<std::string> expected = replay(reference, texts);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(journal.entries[i].response, expected[i]) << "seq " << i;
+  }
 }
 
 }  // namespace
