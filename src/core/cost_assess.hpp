@@ -30,7 +30,7 @@ moe::McReport assess_cost_monte_carlo(const AreaResult& area, const BuildUp& bui
                                       const moe::McOptions& options = {});
 
 // ---------------------------------------------------------------------------
-// Batched path: everything build_flow() derives from sources *other* than
+// Compiled path: everything build_flow() derives from sources *other* than
 // the build-up's ProductionData, captured once.  A parameter sweep then
 // re-costs the same physical build-up under W different ProductionData
 // vectors without reconstructing a FlowModel (no strings, no vectors, no
@@ -39,7 +39,7 @@ struct CompiledCostModel {
   double substrate_cost = 0.0;      // mm2_to_cm2(substrate area) * cost/cm2
   double substrate_fab_yield = 1.0;
   bool integrated_passive_steps = false;  // the structural Fig-4 steps
-  bool wire_bonded = false;
+  tech::DieAttach die_attach = tech::DieAttach::PackagedSmt;
   int bond_count = 0;
   int smd_count = 0;
   double smd_parts_cost = 0.0;
@@ -49,6 +49,61 @@ struct CompiledCostModel {
 };
 
 CompiledCostModel compile_cost_model(const AreaResult& area, const BuildUp& buildup);
+
+// ---------------------------------------------------------------------------
+// Flat numeric flow: the Fig-4 steps of one (model, production data) pair as
+// plain numbers.  One emitter in cost_assess.cpp writes both this and
+// build_flow()'s FlowModel, step for step, so the two cannot drift; the
+// compiled and scenario-grid walks read it through walk_flow_steps().
+
+// Upper bound on steps: fabricate + chips + wire bonds + KGD screening +
+// chiplet bonding + SMD + functional test + package + laminate SMD + final
+// test (the structural zero-cost steps are left out of a flat flow).
+inline constexpr std::size_t kMaxFlowSteps = 10;
+
+// A component lot's booking: `count` parts at `unit_cost` into `category`.
+struct FlatLot {
+  double unit_cost;
+  int count;
+  moe::CostCategory category;
+};
+
+// Every field is written by the emitter (a batch reuses one FlatFlow across
+// lanes, so none is default-initialized).
+struct FlatStep {
+  bool is_test;
+  moe::CostCategory category;
+  // Non-test: s.cost + s.cost_per_component * s.component_count() of the
+  // FlowModel step (the lots are booked separately); test: the test cost.
+  double cost;
+  double lambda;    // non-test: Step::added_fault_intensity()
+  double coverage;  // test only
+  int n_lots;       // lots[0, n_lots) are set
+  FlatLot lots[kMaxProductionDies];  // the chip pair or one lot per die
+};
+static_assert(kMaxProductionDies >= 2, "the chip pair needs two lots");
+
+struct FlatFlow {
+  std::size_t n_steps = 0;  // steps[0, n_steps) are set
+  FlatStep steps[kMaxFlowSteps];
+
+  std::size_t size() const { return n_steps; }
+  const FlatStep& operator[](std::size_t i) const { return steps[i]; }
+};
+
+// The flat flow of `pd` on a compiled build-up.  Rejects malformed
+// production data exactly as build_flow() does.
+FlatFlow flatten_flow(const CompiledCostModel& model, const ProductionData& pd);
+
+// The walk-kernel policy members every walk over a flat flow shares (see
+// flow_walk_kernel.hpp): the step kind and coverage are plain fields, and a
+// flat flow never reworks.
+struct FlatWalkPolicyBase {
+  static bool is_test(const FlatStep& s) { return s.is_test; }
+  static double coverage(const FlatStep& s) { return s.coverage; }
+  static double rework(const FlatStep& /*s*/, double /*detected*/) { return 0.0; }
+  static void on_scrapped(double /*scrapped*/) {}
+};
 
 // The numeric core of a CostReport: what the batched assessment pipeline
 // keeps per (sweep point, build-up).
@@ -74,29 +129,29 @@ struct CostSummary {
 CostSummary evaluate_compiled_cost(const CompiledCostModel& model, const ProductionData& pd);
 
 // ---------------------------------------------------------------------------
-// SoA-batched walk: cost W (model, production-data) lanes per call.
+// Batched walk: cost W (model, production-data) lanes per call.
 //
-// Lanes whose flattened flows share the same step structure are built into
-// lane-major SoA planes (field[step][lane], mirroring the layout of
-// rf::batch_solve_overwrite) and walked one lane at a time through the
-// shared flow-walk kernel — so every lane is bit-identical to its scalar
-// evaluate_compiled_cost() call, and the batch split never changes a bit.
+// Each lane's flat flow is walked through the shared flow-walk kernel.  The
+// lanes of one call share a memo of the pure transcendental terms — a
+// step's fault intensity, reused while its yield operands repeat, and the
+// test-step and escape exponentials, reused while their arguments do — so
+// a sweep whose yields rarely vary pays for each -ln / exp once, while
+// every lane stays bit-identical to its scalar evaluate_compiled_cost()
+// call and the batch split never changes a bit.
 
-// Maximum lanes one SoA plane set holds: the assessment pipeline's chunk
-// width.  Larger batches are processed in groups of this many.
+// The assessment pipeline's chunk width: the lanes one evaluate() worker
+// hands to a single batched call (and so the reach of the shared memo).
 inline constexpr std::size_t kCostBatchLanes = 8;
 
 // One lane of a batched evaluation.  Models may differ across lanes (a
-// sensitivity sweep perturbs the compiled substrate cost/yield per lane);
-// consecutive lanes with equal flow structure share one plane build.
+// sensitivity sweep perturbs the compiled substrate cost/yield per lane).
 struct CostEvalPoint {
   const CompiledCostModel* model = nullptr;
   const ProductionData* pd = nullptr;
 };
 
-// Cost `n` lanes, writing out[i] for points[i].  Any n is accepted; lanes
-// are grouped into runs of at most kCostBatchLanes with identical step
-// structure.
+// Cost `n` lanes, writing out[i] for points[i].  Any n and any mix of
+// models and step structures is accepted.
 void evaluate_compiled_cost_batch(const CostEvalPoint* points, std::size_t n,
                                   CostSummary* out);
 

@@ -42,96 +42,40 @@ std::vector<double> ScenarioGrid::volume_sweep(std::size_t n, double lo, double 
 
 namespace {
 
-// A production flow flattened for repeated corner evaluation: everything
-// evaluate_analytic reads per step, as plain numbers.
-struct CompiledStep {
-  bool is_test = false;
-  double cost = 0.0;      // direct cost booked per alive unit (incl. components)
-  double lambda = 0.0;    // fault intensity added (non-test)
-  double coverage = 0.0;  // test only
-  bool rework = false;
-  double rework_cost = 0.0;
-  double rework_success = 0.0;
-};
-
-struct CompiledFlow {
-  std::vector<CompiledStep> steps;
-  double nre = 0.0;
-};
-
-CompiledFlow compile_flow(const moe::FlowModel& flow) {
-  CompiledFlow out;
-  out.nre = flow.nre_total();
-  out.steps.reserve(flow.steps().size());
-  for (const moe::Step& s : flow.steps()) {
-    CompiledStep cs;
-    if (s.kind == moe::Step::Kind::Test) {
-      cs.is_test = true;
-      cs.cost = s.cost;
-      cs.coverage = s.fault_coverage;
-      cs.rework = s.on_fail.rework;
-      cs.rework_cost = s.on_fail.rework_cost;
-      cs.rework_success = s.on_fail.rework_success;
-    } else {
-      cs.cost = s.cost + s.cost_per_component * s.component_count() + s.component_cost();
-      cs.lambda = s.added_fault_intensity();
-    }
-    out.steps.push_back(cs);
-  }
-  return out;
-}
-
 // Volume-independent outcome of one (build-up, corner) pair, per started
-// unit.  The walk is the shared kernel with the corner's scalings applied:
-// fault_scale on every injected intensity, cost_scale on every direct cost
-// (rework included).
+// unit.  The walk is the shared kernel over the build-up's flat flow with
+// the corner's scalings applied: fault_scale on every injected intensity,
+// cost_scale on every direct cost.
 struct CornerOutcome {
   double spend = 0.0;  // expected spend per started unit
   double alive = 0.0;  // shipped fraction
 };
 
 // Scalar-spend instantiation of the shared walk kernel: no ledger, every
-// booked cost multiplied by the corner's cost_scale, every injected
-// intensity by its fault_scale.
-struct CornerWalkPolicy {
+// booked cost (a step's own cost plus its lots) multiplied by the corner's
+// cost_scale, every injected intensity by its fault_scale.
+struct CornerWalkPolicy : FlatWalkPolicyBase {
   const ProcessCorner& corner;
   double spend = 0.0;
 
-  static bool is_test(const CompiledStep& s) { return s.is_test; }
-  static double coverage(const CompiledStep& s) { return s.coverage; }
-
-  void book_test(const CompiledStep& s, double alive) {
+  void book_test(const FlatStep& s, double alive) {
     spend += alive * (corner.cost_scale * s.cost);
   }
 
   static double exp_value(double x) { return std::exp(x); }
 
-  double rework(const CompiledStep& s, double detected) {
-    if (!s.rework || !(detected > 0.0)) return 0.0;
-    spend += detected * (corner.cost_scale * s.rework_cost);
-    return detected * s.rework_success;
-  }
-
-  void on_scrapped(double /*scrapped*/) {}
-
   static const char* all_scrapped_message() {
     return "evaluate_scenario_grid: corner scraps the entire line";
   }
 
-  void book_step(const CompiledStep& s, double alive) {
-    spend += alive * (corner.cost_scale * s.cost);
+  void book_step(const FlatStep& s, double alive) {
+    double lots_cost = 0.0;  // Step::component_cost()
+    for (int c = 0; c < s.n_lots; ++c) lots_cost += s.lots[c].unit_cost * s.lots[c].count;
+    spend += alive * (corner.cost_scale * (s.cost + lots_cost));
   }
 
-  double added_lambda(const CompiledStep& s) const {
-    return corner.fault_scale * s.lambda;
-  }
+  double added_lambda(const FlatStep& s) const { return corner.fault_scale * s.lambda; }
 };
-
-CornerOutcome walk_flow(const CompiledFlow& flow, const ProcessCorner& corner) {
-  CornerWalkPolicy walk{corner};
-  const WalkOutcome out = walk_flow_steps(flow.steps, walk);
-  return {walk.spend, out.alive};
-}
 
 struct GridAccum {
   RunningStats stats;
@@ -163,18 +107,19 @@ ScenarioGridSummary evaluate_scenario_grid(const FunctionalBom& bom, const TechK
             "evaluate_scenario_grid: buildup_corners scales must be >= 0");
   }
 
-  // Compile every build-up's flow once; the compiled models are read-only
-  // from here on and shared by all workers.
+  // Flatten every build-up's flow once; the flat flows are read-only from
+  // here on and shared by all workers.
   const std::size_t n_buildups = grid.buildups.size();
   const std::size_t n_volumes = grid.volumes.size();
-  std::vector<CompiledFlow> compiled;
-  compiled.reserve(n_buildups);
-  for (const BuildUp& b : grid.buildups) {
-    const AreaResult area = assess_area(bom, b, kits);
-    compiled.push_back(compile_flow(build_flow(area, b)));
+  std::vector<FlatFlow> flows(n_buildups);
+  std::vector<double> nre(n_buildups);
+  for (std::size_t b = 0; b < n_buildups; ++b) {
+    const BuildUp& bu = grid.buildups[b];
+    flows[b] = flatten_flow(compile_cost_model(assess_area(bom, bu, kits), bu), bu.production);
+    nre[b] = effective_nre(bu.production);
   }
 
-  // One parallel item per corner: a worker walks each compiled flow once
+  // One parallel item per corner: a worker walks each flat flow once
   // per corner and then sweeps the whole volume axis in O(1) per cell —
   // shipped fraction and per-started spend do not depend on the volume,
   // only the NRE amortization does.
@@ -191,7 +136,9 @@ ScenarioGridSummary evaluate_scenario_grid(const FunctionalBom& bom, const TechK
               corner.fault_scale *= grid.buildup_corners[b].fault_scale;
               corner.cost_scale *= grid.buildup_corners[b].cost_scale;
             }
-            outcome[b] = walk_flow(compiled[b], corner);
+            CornerWalkPolicy walk{{}, corner};
+            const double alive = walk_flow_steps(flows[b], walk).alive;
+            outcome[b] = {walk.spend, alive};
           }
           for (std::size_t v = 0; v < n_volumes; ++v) {
             const double volume = grid.volumes[v];
@@ -199,7 +146,7 @@ ScenarioGridSummary evaluate_scenario_grid(const FunctionalBom& bom, const TechK
             double win_cost = 0.0;
             for (std::size_t b = 0; b < n_buildups; ++b) {
               const double cost =
-                  (outcome[b].spend + compiled[b].nre / volume) / outcome[b].alive;
+                  (outcome[b].spend + nre[b] / volume) / outcome[b].alive;
               ScenarioCell cell;
               cell.cell = (c * n_volumes + v) * n_buildups + b;
               cell.buildup = b;

@@ -101,9 +101,10 @@ SensitivityReport cost_sensitivity(const FunctionalBom& bom, const BuildUp& buil
   // performance simulations), then express every perturbed build-up as one
   // sweep point: its production data plus a recompiled cost model, which
   // carries the non-production inputs a perturbation can touch (substrate
-  // cost/yield).  evaluate_compiled_cost is the bit-exact twin of the
-  // build_flow + evaluate_analytic path, so each point's final cost equals
-  // the historical per-perturbation re-assessment down to the last ulp.
+  // cost/yield).  evaluate_compiled_cost walks the flow build_flow's own
+  // emitter writes and agrees with evaluate_analytic to the bit, so each
+  // point's final cost equals the historical per-perturbation re-assessment
+  // down to the last ulp.
   AssessmentPipeline pipeline(bom, {buildup}, kits, PipelineScope::CostOnly);
   const std::vector<SensitivityInput> inputs = standard_inputs();
 

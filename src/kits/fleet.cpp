@@ -85,9 +85,10 @@ core::ProductionData corner_production(core::ProductionData pd,
 
 // CompiledCostModel holds what build_flow derives from sources other than
 // ProductionData; the corner touches its three monetary/yield knobs and
-// deliberately leaves the seven structural fields (flags and counts)
-// alone.  The count below is asserted so a new CompiledCostModel member
-// forces a decision here, mirroring the field-table guard above.
+// deliberately leaves the seven structural fields (flags, counts and the
+// die-attach kind that names the chip steps) alone.  The count below is
+// asserted so a new CompiledCostModel member forces a decision here,
+// mirroring the field-table guard above.
 static_assert(ipass::core::detail::aggregate_field_count<core::CompiledCostModel>() ==
                   10,
               "CompiledCostModel gained a member: decide whether corner_model "

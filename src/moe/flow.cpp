@@ -49,13 +49,7 @@ int Step::component_count() const {
 }
 
 double Step::added_fault_intensity() const {
-  double lambda = fault_intensity(yield);
-  for (const ComponentInput& c : components) {
-    require(c.incoming_yield > 0.0 && c.incoming_yield <= 1.0,
-            "ComponentInput: incoming yield must be in (0,1]");
-    lambda += -std::log(c.incoming_yield) * c.count;
-  }
-  return lambda;
+  return moe::added_fault_intensity(yield, components.begin(), components.end());
 }
 
 FlowModel::FlowModel(std::string name, double volume, double nre_total)

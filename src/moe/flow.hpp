@@ -15,9 +15,11 @@
 // translated into faults using Monte Carlo simulation".
 #pragma once
 
+#include <cmath>
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "moe/yield.hpp"
 
 namespace ipass::moe {
@@ -64,6 +66,22 @@ struct FailPolicy {
   double rework_success = 0.0;  // probability the rework removes the fault(s)
   int max_attempts = 1;
 };
+
+// Fault intensity a non-test step injects: -ln of its own yield plus
+// -ln(incoming yield) per part of every lot in [first, last) (anything with
+// `incoming_yield` and `count` members).  Step::added_fault_intensity and
+// the flat flows of core::cost_assess both evaluate this one expression, so
+// their lambdas agree to the bit.
+template <class LotIt>
+double added_fault_intensity(const YieldSpec& yield, LotIt first, LotIt last) {
+  double lambda = fault_intensity(yield);
+  for (; first != last; ++first) {
+    require(first->incoming_yield > 0.0 && first->incoming_yield <= 1.0,
+            "ComponentInput: incoming yield must be in (0,1]");
+    lambda += -std::log(first->incoming_yield) * first->count;
+  }
+  return lambda;
+}
 
 struct Step {
   enum class Kind { Fabricate, Process, Assemble, Test, Package };

@@ -37,6 +37,16 @@ struct AreaYield {
 
 using YieldSpec = std::variant<FixedYield, PerJointYield, AreaYield>;
 
+// Field-wise equality (so YieldSpec compares by alternative and fields).
+inline bool operator==(const FixedYield& a, const FixedYield& b) { return a.value == b.value; }
+inline bool operator==(const PerJointYield& a, const PerJointYield& b) {
+  return a.per_joint == b.per_joint && a.joints == b.joints;
+}
+inline bool operator==(const AreaYield& a, const AreaYield& b) {
+  return a.model == b.model && a.defects_per_cm2 == b.defects_per_cm2 &&
+         a.area_cm2 == b.area_cm2;
+}
+
 // Evaluate the yield (probability of a fault-free outcome) of a spec.
 double yield_value(const YieldSpec& spec);
 

@@ -1,14 +1,22 @@
 #include "core/cost_assess.hpp"
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/scenario_grid.hpp"
 #include "gps/bom.hpp"
 #include "gps/casestudy.hpp"
 #include "gps/table2.hpp"
+#include "kits/registry.hpp"
 
 namespace ipass::core {
 namespace {
@@ -121,9 +129,36 @@ TEST(CostAssess, MonteCarloMatchesAnalytic) {
               3.0 * mc.final_cost_ci95 + 1e-9);
 }
 
+// A known-good-die screen with escape e lets the fraction e of a die's
+// latent intensity -ln(yield) into the stack: a perfect screen (e = 0)
+// ships like a perfect die, a half screen injects half the intensity.
+TEST(CostAssess, KgdScreenThinsTheDieIntensity) {
+  Fixture fx;
+  const BuildUp base = gps::buildup_mcm_fc_ip_smd(fx.cc);
+  const AreaResult area = fx.area(base);
+  const auto shipped = [&](double yield, double escape) {
+    BuildUp b = base;
+    DieSpec die;
+    die.name = "chiplet";
+    die.yield = yield;
+    die.kgd_escape = escape;
+    b.production.dies = {die};
+    const double analytic = assess_cost(area, b).report.shipped_fraction;
+    EXPECT_EQ(analytic, evaluate_compiled_cost(compile_cost_model(area, b), b.production)
+                            .shipped_fraction);
+    return analytic;
+  };
+  EXPECT_EQ(shipped(0.8, 0.0), shipped(1.0, 1.0));
+  EXPECT_LT(shipped(0.8, 1.0), shipped(0.8, 0.5));
+  const double lambda_full = -std::log(shipped(0.8, 1.0) / shipped(1.0, 1.0));
+  const double lambda_half = -std::log(shipped(0.8, 0.5) / shipped(1.0, 1.0));
+  EXPECT_GT(lambda_half, 0.0);
+  EXPECT_LT(lambda_half, lambda_full);
+}
+
 // ---------------------------------------------------------------------------
-// SoA batch walk: every lane bit-identical to its scalar evaluation, for
-// any lane mix and any batch split.
+// Batched walk: every lane bit-identical to its scalar evaluation, for any
+// lane mix and any batch split.
 
 bool summary_bits_equal(const CostSummary& a, const CostSummary& b) {
   static_assert(sizeof(CostSummary) == 11 * sizeof(double),
@@ -182,8 +217,8 @@ TEST(CostAssessBatch, EveryLaneMatchesScalarBitwise) {
 }
 
 TEST(CostAssessBatch, MixedModelsAcrossLanes) {
-  // Alternating compiled models (different structure every lane) must fall
-  // back to short groups without changing any bit.
+  // Alternating compiled models (different structure every lane) share one
+  // batch, and so its memo, without changing any bit.
   Fixture fx;
   const gps::GpsCaseStudy study = gps::make_gps_case_study();
   const BuildUp& b1 = study.buildups[0];
@@ -233,6 +268,243 @@ TEST(CostAssessBatch, SplitInvariance) {
   for (std::size_t i = 0; i < kN; ++i) {
     EXPECT_TRUE(summary_bits_equal(whole[i], sliced[i])) << "lane " << i;
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Compiled path vs the analytic reference: every CostSummary field must equal
+// evaluate_analytic(build_flow(area, b')) to the bit, where b' is the
+// build-up with its production data replaced, on random inputs that reach
+// every step of the flow (dies, KGD screens, bonding, PerJoint yields,
+// dropped functional tests).
+
+bool bits_equal(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+void expect_matches_analytic(const CostSummary& got, const moe::CostReport& want,
+                             const std::string& what) {
+  const std::pair<const char*, std::pair<double, double>> fields[] = {
+      {"volume", {got.volume, want.volume}},
+      {"shipped_fraction", {got.shipped_fraction, want.shipped_fraction}},
+      {"shipped_units", {got.shipped_units, want.shipped_units}},
+      {"good_fraction", {got.good_fraction, want.good_fraction}},
+      {"escaped_defect_rate", {got.escaped_defect_rate, want.escaped_defect_rate}},
+      {"direct_cost", {got.direct_cost, want.direct_cost}},
+      {"chip_cost_direct", {got.chip_cost_direct, want.chip_cost_direct()}},
+      {"yield_loss_per_shipped", {got.yield_loss_per_shipped, want.yield_loss_per_shipped}},
+      {"nre_per_shipped", {got.nre_per_shipped, want.nre_per_shipped}},
+      {"final_cost_per_shipped", {got.final_cost_per_shipped, want.final_cost_per_shipped}},
+      {"total_spend_per_started",
+       {got.total_spend_per_started, want.total_spend_per_started}},
+  };
+  static_assert(sizeof(CostSummary) == 11 * sizeof(double),
+                "CostSummary gained a member; compare it here too");
+  for (const auto& [name, pair] : fields) {
+    EXPECT_TRUE(bits_equal(pair.first, pair.second))
+        << what << " " << name << ": " << pair.first << " vs " << pair.second;
+  }
+}
+
+// One costed build-up: its area and compiled model, fixed across lanes.
+struct CostCase {
+  BuildUp buildup;
+  AreaResult area;
+  CompiledCostModel model;
+};
+
+std::vector<CostCase> equivalence_cases() {
+  std::vector<CostCase> cases;
+  const gps::GpsCaseStudy study = gps::make_gps_case_study();
+  for (const BuildUp& b : study.buildups) {
+    const AreaResult area = assess_area(study.bom, b, study.kits);
+    cases.push_back({b, area, compile_cost_model(area, b)});
+  }
+  const kits::KitRegistry registry = kits::builtin_kit_registry();
+  const kits::ProcessKit& si = registry.at(kits::kSiInterposerKit);
+  const TechKits si_kits = kits::apply_passives(si);
+  for (const BuildUp& b : kits::make_buildups(si)) {
+    const AreaResult area = assess_area(study.bom, b, si_kits);
+    cases.push_back({b, area, compile_cost_model(area, b)});
+  }
+  return cases;
+}
+
+// Random production vector with 0-8 dies, random KGD screens and bonding.
+ProductionData random_chiplet_pd(const ProductionData& base, Pcg32& rng) {
+  ProductionData pd = random_pd(base, rng, rng.bernoulli(0.3));
+  pd.semantics = rng.bernoulli(0.5) ? YieldSemantics::PerJoint : YieldSemantics::PerStep;
+  pd.bond_cost = rng.uniform(0.0, 2.0);
+  pd.bond_yield = rng.uniform(0.95, 1.0);
+  pd.dies.clear();
+  const std::uint32_t n_dies = rng.below(static_cast<std::uint32_t>(kMaxProductionDies) + 1);
+  for (std::uint32_t d = 0; d < n_dies; ++d) {
+    DieSpec die;
+    die.name = "die-" + std::to_string(d);
+    die.cost = rng.uniform(0.5, 30.0);
+    die.yield = rng.uniform(0.7, 1.0);
+    die.kgd_test_cost = rng.uniform(0.0, 1.5);
+    die.kgd_escape = rng.bernoulli(0.2) ? 1.0 : rng.uniform(0.0, 1.0);
+    die.nre = rng.uniform(0.0, 5e4);
+    pd.dies.push_back(die);
+  }
+  return pd;
+}
+
+// `like` with fresh costs, NRE and volume but every yield, escape, coverage
+// and the semantics copied bit for bit: a lane whose fault operands repeat.
+ProductionData with_same_yields(const ProductionData& like, Pcg32& rng) {
+  ProductionData pd = like;
+  pd.rf_chip_cost = rng.uniform(1.0, 40.0);
+  pd.dsp_cost = rng.uniform(1.0, 40.0);
+  pd.chip_assembly_cost = rng.uniform(0.0, 2.0);
+  pd.wire_bond_cost = rng.uniform(0.0, 0.05);
+  pd.smd_assembly_cost = rng.uniform(0.0, 0.2);
+  pd.functional_test_cost = rng.uniform(0.0, 10.0);
+  pd.packaging_cost = rng.uniform(0.0, 5.0);
+  pd.final_test_cost = rng.uniform(1.0, 20.0);
+  pd.nre_total = rng.uniform(0.0, 1e5);
+  pd.volume = rng.uniform(1e3, 1e6);
+  pd.bond_cost = rng.uniform(0.0, 2.0);
+  for (DieSpec& d : pd.dies) {
+    d.cost = rng.uniform(0.5, 30.0);
+    d.kgd_test_cost = rng.uniform(0.0, 1.5);
+    d.nre = rng.uniform(0.0, 5e4);
+  }
+  return pd;
+}
+
+// `like` with exactly one fault operand moved (a yield, a die's screen
+// escape, the final-test coverage or the yield semantics): every other bit
+// repeats, so the memo must notice that one operand on its own.
+ProductionData with_one_operand_moved(const ProductionData& like, Pcg32& rng) {
+  ProductionData pd = like;
+  std::vector<double*> yields = {&pd.rf_chip_yield,       &pd.dsp_yield,
+                                 &pd.chip_assembly_yield, &pd.wire_bond_yield,
+                                 &pd.smd_assembly_yield,  &pd.packaging_yield,
+                                 &pd.bond_yield,          &pd.final_test_coverage};
+  std::vector<double*> escapes;
+  for (DieSpec& d : pd.dies) {
+    yields.push_back(&d.yield);
+    escapes.push_back(&d.kgd_escape);
+  }
+  const std::uint32_t pick =
+      rng.below(static_cast<std::uint32_t>(yields.size() + escapes.size() + 1));
+  if (pick < yields.size()) {
+    *yields[pick] *= rng.uniform(0.95, 0.9999);
+  } else if (pick < yields.size() + escapes.size()) {
+    double& escape = *escapes[pick - yields.size()];
+    escape = escape == 1.0 ? rng.uniform(0.0, 1.0) : 1.0;
+  } else {
+    pd.semantics = pd.semantics == YieldSemantics::PerJoint ? YieldSemantics::PerStep
+                                                            : YieldSemantics::PerJoint;
+  }
+  return pd;
+}
+
+CostSummary batch_then_check_lane(const CostCase& c, const ProductionData& pd,
+                                  const CostSummary& batched, const std::string& what) {
+  BuildUp b = c.buildup;
+  b.production = pd;
+  expect_matches_analytic(batched, moe::evaluate_analytic(build_flow(c.area, b)), what);
+  const CostSummary scalar = evaluate_compiled_cost(c.model, pd);
+  EXPECT_TRUE(summary_bits_equal(batched, scalar)) << what << " (scalar call)";
+  return scalar;
+}
+
+TEST(CostAssessEquivalence, CompiledPathMatchesAnalyticOnRandomInputs) {
+  const std::vector<CostCase> cases = equivalence_cases();
+  ASSERT_GE(cases.size(), 6u);  // 4 GPS build-ups + the si-interposer variants
+  Pcg32 rng(15);
+  constexpr std::size_t kN = 96;
+  for (const CostCase& c : cases) {
+    // Runs of lanes with bit-equal fault operands (memo hits) between
+    // freshly drawn ones and ones with a single operand moved (misses).
+    std::vector<ProductionData> pds;
+    pds.reserve(kN);
+    for (std::size_t i = 0; i < kN; ++i) {
+      const std::uint32_t kind = i == 0 ? 0 : rng.below(3);
+      pds.push_back(kind == 0   ? random_chiplet_pd(c.buildup.production, rng)
+                    : kind == 1 ? with_same_yields(pds.back(), rng)
+                                : with_one_operand_moved(pds.back(), rng));
+    }
+    std::vector<CostEvalPoint> lanes(kN);
+    for (std::size_t i = 0; i < kN; ++i) lanes[i] = {&c.model, &pds[i]};
+    std::vector<CostSummary> batch(kN);
+    evaluate_compiled_cost_batch(lanes.data(), kN, batch.data());
+    for (std::size_t i = 0; i < kN; ++i) {
+      batch_then_check_lane(c, pds[i], batch[i],
+                            c.buildup.name + " lane " + std::to_string(i) + " (" +
+                                std::to_string(pds[i].dies.size()) + " dies)");
+    }
+  }
+}
+
+TEST(CostAssessEquivalence, AlternatingBuildUpsWithSharedYieldBits) {
+  // Neighbouring lanes cost different build-ups under bit-equal yields:
+  // equal fault operands over a different step structure.
+  const std::vector<CostCase> cases = equivalence_cases();
+  Pcg32 rng(1515);
+  constexpr std::size_t kN = 24;
+  for (std::size_t a = 0; a < cases.size(); ++a) {
+    const CostCase& ca = cases[a];
+    const CostCase& cb = cases[(a + 1) % cases.size()];
+    std::vector<ProductionData> pds;
+    pds.reserve(kN);
+    for (std::size_t i = 0; i < kN; ++i) {
+      if (i % 2 == 1) {
+        pds.push_back(with_same_yields(pds.back(), rng));
+      } else if (i > 0 && rng.bernoulli(0.5)) {
+        pds.push_back(with_same_yields(pds.back(), rng));
+      } else {
+        pds.push_back(random_chiplet_pd(ca.buildup.production, rng));
+      }
+    }
+    std::vector<CostEvalPoint> lanes(kN);
+    for (std::size_t i = 0; i < kN; ++i) lanes[i] = {i % 2 ? &cb.model : &ca.model, &pds[i]};
+    std::vector<CostSummary> batch(kN);
+    evaluate_compiled_cost_batch(lanes.data(), kN, batch.data());
+    for (std::size_t i = 0; i < kN; ++i) {
+      const CostCase& c = i % 2 ? cb : ca;
+      batch_then_check_lane(c, pds[i], batch[i],
+                            ca.buildup.name + "/" + cb.buildup.name + " lane " +
+                                std::to_string(i));
+    }
+  }
+}
+
+// A negative NRE total is rejected by name on every cost path, even when
+// per-die NRE would lift the effective total back above zero.
+TEST(CostAssessPreconditions, NegativeNreTotalRejectedOnEveryPath) {
+  const gps::GpsCaseStudy study = gps::make_gps_case_study();
+  BuildUp b = study.buildups[3];
+  b.production.nre_total = -5.0;
+  DieSpec die;
+  die.name = "chiplet";
+  die.nre = 10.0;
+  b.production.dies = {die};
+  const AreaResult area = assess_area(study.bom, b, study.kits);
+
+  const auto expect_named = [](const auto& call, const char* path) {
+    try {
+      call();
+      ADD_FAILURE() << path << " accepted an invalid nre_total";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("nre_total"), std::string::npos)
+          << path << ": " << e.what();
+    }
+  };
+  expect_named([&] { assess_cost(area, b); }, "assess_cost");
+  expect_named([&] { evaluate_compiled_cost(compile_cost_model(area, b), b.production); },
+               "evaluate_compiled_cost");
+  ScenarioGrid grid;
+  grid.buildups = {study.buildups[0], b};
+  grid.corners = {ProcessCorner{}};
+  grid.volumes = {1e4};
+  expect_named([&] { evaluate_scenario_grid(study.bom, study.kits, grid, 1); },
+               "evaluate_scenario_grid");
+
+  b.production.nre_total = std::numeric_limits<double>::infinity();
+  b.production.dies.clear();
+  expect_named([&] { assess_cost(area, b); }, "assess_cost (infinite)");
 }
 
 }  // namespace

@@ -148,9 +148,9 @@ TEST(MultiDie, ChipletDiesMoveTheNumbers) {
   EXPECT_GT(chiplet.nre_per_shipped, single.nre_per_shipped);    // per-die NRE
 }
 
-// All three walk policies share flow_walk_kernel.hpp, so the chiplet
-// variant must come out bit-identical from the analytic report, the
-// pipeline's scalar path, and the batched SoA path.
+// All walk policies share flow_walk_kernel.hpp, so the chiplet variant must
+// come out bit-identical from the analytic report, the pipeline's scalar
+// path, and the batched path.
 TEST(MultiDie, EnginesAgreeOnChipletVariantToTheBit) {
   const KitRegistry registry = builtin_kit_registry();
   const core::FunctionalBom bom = gps::gps_front_end_bom();
